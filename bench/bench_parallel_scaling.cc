@@ -2,9 +2,14 @@
 // batch PPR, k-means, the greedy selector scans, and a fixed-shape SGAN
 // training step (the allocation-free steady-state path), each timed at
 // 1/2/4/8 threads with speedups reported against the 1-thread run of the
-// same binary. Unlike bench_micro (google-benchmark, machine-default
-// threads), this is a plain wall-clock harness so it can flip
-// util::SetParallelism between measurements.
+// same binary. Four threshold records straddle util::kMinShardWork: a
+// serve-shaped discriminator forward at 9 and 64 rows (every layer
+// inline: a region under the threshold must time the same at 4T as at
+// 1T, because it never wakes the pool) and at 256 rows (first layer split
+// four ways), and a width-3 strided SpMM, which hands out its row blocks
+// one per shard and so still splits. Unlike bench_micro
+// (google-benchmark, machine-default threads), this is a plain wall-clock
+// harness so it can flip util::SetParallelism between measurements.
 //
 // With GALE_BENCH_JSON_DIR set, per-(workload, threads) medians are also
 // written to $GALE_BENCH_JSON_DIR/BENCH_parallel_scaling.json for
@@ -17,6 +22,7 @@
 #include <cstring>
 #include <functional>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +32,9 @@
 #include "la/kmeans.h"
 #include "la/matrix.h"
 #include "la/sparse_matrix.h"
+#include "nn/activations.h"
+#include "nn/dense.h"
+#include "nn/sequential.h"
 #include "prop/ppr.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -104,6 +113,22 @@ int main(int argc, char** argv) {
     sgan_labels[r] = r % 4 == 0 ? core::kLabelError : core::kLabelCorrect;
   }
   sgan.Update(sgan_real, sgan_labels, sgan_syn, /*epochs=*/1);  // warm-up
+  // Serve-shaped discriminator forward (SnapshotScorer's layer stack):
+  // 64 features -> 64 -> 32 -> 3 logits with leaky ReLU in between.
+  nn::Sequential disc;
+  disc.Add(std::make_unique<nn::Dense>(64, 64, rng));
+  disc.Add(std::make_unique<nn::LeakyRelu>(0.2));
+  disc.Add(std::make_unique<nn::Dense>(64, 32, rng));
+  disc.Add(std::make_unique<nn::LeakyRelu>(0.2));
+  disc.Add(std::make_unique<nn::Dense>(32, 3, rng));
+  const la::Matrix disc_in9 = la::Matrix::RandomNormal(9, 64, 1.0, rng);
+  const la::Matrix disc_in64 = la::Matrix::RandomNormal(64, 64, 1.0, rng);
+  const la::Matrix disc_in256 = la::Matrix::RandomNormal(256, 64, 1.0, rng);
+  (void)disc.Forward(disc_in256, /*training=*/false);  // warm the buffers
+  // Width-3 strided SpMM over the PPR graph: a few live PPR columns.
+  constexpr size_t kStride = 8;
+  std::vector<double> strided_in(4000 * kStride, 1.0 / 4000);
+  std::vector<double> strided_out(4000 * kStride, 0.0);
 
   std::vector<Workload> workloads;
   workloads.push_back({"MatMul 512x512x512", [&] {
@@ -128,6 +153,28 @@ int main(int argc, char** argv) {
   workloads.push_back({"SganUpdate 512+128 d32", [&] {
                          (void)sgan.Update(sgan_real, sgan_labels, sgan_syn,
                                            /*epochs=*/1);
+                       }});
+  workloads.push_back({"Disc forward 9 rows x1000", [&] {
+                         for (int i = 0; i < 1000; ++i) {
+                           (void)disc.Forward(disc_in9, /*training=*/false);
+                         }
+                       }});
+  workloads.push_back({"Disc forward 64 rows x200", [&] {
+                         for (int i = 0; i < 200; ++i) {
+                           (void)disc.Forward(disc_in64, /*training=*/false);
+                         }
+                       }});
+  workloads.push_back({"Disc forward 256 rows x50", [&] {
+                         for (int i = 0; i < 50; ++i) {
+                           (void)disc.Forward(disc_in256, /*training=*/false);
+                         }
+                       }});
+  workloads.push_back({"SpMM strided w3 4k x200", [&] {
+                         for (int i = 0; i < 200; ++i) {
+                           walk.MultiplyStridedInto(strided_in.data(), 3,
+                                                    kStride,
+                                                    strided_out.data());
+                         }
                        }});
 
   std::vector<std::string> header = {"kernel"};

@@ -143,6 +143,7 @@ void QuerySelector::RefreshChangeFlags(const la::Matrix& embeddings) {
       last_embeddings_.cols() == embeddings.cols()) {
     // Per-node flags are disjoint writes; telemetry is counted serially
     // below.
+    // gale-lint: allow(parallel-grain): item-count grain, unmeasured at 4T
     util::ParallelFor(0, n, kScanGrain, [&](size_t v0, size_t v1) {
       ChangeFlagShard(embeddings.RowPtr(0), last_embeddings_.RowPtr(0),
                       embeddings.cols(), options_.embedding_tolerance,
@@ -422,8 +423,9 @@ util::Result<std::vector<size_t>> QuerySelector::SelectGale(
       // The body is one cache probe plus one memory-bound row distance per
       // candidate — dominated by the unordered_map find and the
       // embedding-row loads, with no inner-loop register pressure for the
-      // closure pointer to aggravate.
-      // gale-lint: allow(shard-noinline): memory-bound cache-probe scan
+      // closure pointer to aggravate. The grain counts candidates, not
+      // work: the probe's cost at 4 threads is unmeasured.
+      // gale-lint: allow(shard-noinline, parallel-grain): probe scan, see above
       util::ParallelFor(0, m, kScanGrain, [&](size_t i0, size_t i1) {
         for (size_t i = i0; i < i1; ++i) {
           if (taken[i]) continue;

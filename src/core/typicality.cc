@@ -140,6 +140,7 @@ util::Result<TypicalityResult> ComputeTypicality(
       }
     };
     if (ppr.cache_enabled()) {
+      // gale-lint: allow(parallel-grain): item-count grain, unmeasured at 4T
       util::ParallelFor(0, m, 64, scan);
     } else {
       scan(0, m);

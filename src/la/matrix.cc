@@ -33,8 +33,6 @@ namespace {
 
 // Square tile for the out-of-place transpose.
 constexpr size_t kTransposeTile = 32;
-// Minimum rows per parallel shard; below this the kernels run inline.
-constexpr size_t kRowGrain = 8;
 
 // Shard kernels are noinline free functions over plain pointers: inlined
 // into the dispatch lambda, the live closure pointer costs the register
@@ -276,7 +274,9 @@ void Matrix::MatMulInto(const Matrix& other, Matrix* out,
   // vectorization, and genuinely sparse operands belong in SparseMatrix.
   // The accumulation expression is fixed, so results are bitwise
   // identical at every thread count.
-  util::ParallelFor(0, rows_, kRowGrain, [&](size_t r0, size_t r1) {
+  // An output row costs cols_ * n multiply-adds.
+  const size_t grain = util::GrainForWork(cols_ * n);
+  util::ParallelFor(0, rows_, grain, [&](size_t r0, size_t r1) {
     MatMulShard(data_.data(), other.data_.data(), out->data_.data(), cols_, n,
                 r0, r1);
   });
@@ -305,7 +305,9 @@ void Matrix::TransposedMatMulInto(const Matrix& other, Matrix* out,
   // all of B once per four source rows, register-blocked like MatMul.
   // The accumulation expression is fixed, so results are bitwise
   // identical at every thread count.
-  util::ParallelFor(0, cols_, kRowGrain, [&](size_t i0, size_t i1) {
+  // An output row costs rows_ * n multiply-adds.
+  const size_t grain = util::GrainForWork(rows_ * n);
+  util::ParallelFor(0, cols_, grain, [&](size_t i0, size_t i1) {
     TransposedMatMulShard(data_.data(), other.data_.data(), out->data_.data(),
                           rows_, cols_, n, i0, i1);
   });
@@ -328,7 +330,9 @@ void Matrix::MatMulTransposedInto(const Matrix& other, Matrix* out) const {
   // split over four accumulators to break the FP add dependency chain.
   // The combine order is fixed, so results are bitwise identical at every
   // thread count.
-  util::ParallelFor(0, rows_, kRowGrain, [&](size_t r0, size_t r1) {
+  // An output row costs cols_ * other.rows_ multiply-adds.
+  const size_t grain = util::GrainForWork(cols_ * other.rows_);
+  util::ParallelFor(0, rows_, grain, [&](size_t r0, size_t r1) {
     MatMulTransposedShard(data_.data(), other.data_.data(), out->data_.data(),
                           cols_, other.rows_, r0, r1);
   });
@@ -346,7 +350,9 @@ void Matrix::TransposeInto(Matrix* out) const {
   out->EnsureShape(cols_, rows_);
   // Tiled so both the strided reads and the strided writes stay within a
   // kTransposeTile-square working set; shards own disjoint input rows.
-  util::ParallelFor(0, rows_, kTransposeTile, [&](size_t r0, size_t r1) {
+  // An input row costs cols_ copies; shards keep at least one tile of rows.
+  const size_t grain = util::GrainForWork(cols_, kTransposeTile);
+  util::ParallelFor(0, rows_, grain, [&](size_t r0, size_t r1) {
     TransposeShard(data_.data(), out->data_.data(), rows_, cols_, r0, r1);
   });
 }

@@ -194,6 +194,7 @@ void SparseMatrix::MultiplyInto(const Matrix& dense, Matrix* out,
   // Block-parallel: shards hand out whole nnz-balanced row blocks, every
   // output row is a gather over that CSR row only, so shards are disjoint
   // and the result is bitwise thread-count-invariant.
+  // gale-lint: allow(parallel-grain): row blocks are sized by BuildRowBlocks
   util::ParallelFor(0, num_row_blocks(), 1, [&](size_t b0, size_t b1) {
     GatherRows(row_ptr_.data(), col_idx_.data(), values_.data(),
                dense.RowPtr(0), d, out->RowPtr(0), block_row_[b0],
@@ -215,6 +216,7 @@ void SparseMatrix::MultiplyFusedInto(const Matrix& dense, const Matrix& bias,
   // Same block-parallel sweep as MultiplyInto, with the epilogue applied
   // to each block's rows while they are still warm in cache — no
   // intermediate whole-matrix pass between product, bias, and activation.
+  // gale-lint: allow(parallel-grain): row blocks are sized by BuildRowBlocks
   util::ParallelFor(0, num_row_blocks(), 1, [&](size_t b0, size_t b1) {
     const size_t r0 = block_row_[b0];
     const size_t r1 = block_row_[b1];
@@ -229,6 +231,7 @@ void SparseMatrix::MultiplyStridedInto(const double* in, size_t width,
                                        size_t stride, double* out) const {
   GALE_CHECK(width > 0 && width <= stride) << "strided SpMM width/stride";
   GALE_CHECK(in != out) << "MultiplyStridedInto aliased output";
+  // gale-lint: allow(parallel-grain): row blocks are sized by BuildRowBlocks
   util::ParallelFor(0, num_row_blocks(), 1, [&](size_t b0, size_t b1) {
     GatherRowsStrided(row_ptr_.data(), col_idx_.data(), values_.data(), in,
                       width, stride, out, block_row_[b0], block_row_[b1]);
@@ -289,6 +292,7 @@ void SparseMatrix::TransposedMultiplyInto(const Matrix& dense, Matrix* out,
   const size_t d = dense.cols();
   const size_t num_blocks =
       t_block_row_.empty() ? 0 : t_block_row_.size() - 1;
+  // gale-lint: allow(parallel-grain): row blocks are sized by BuildRowBlocks
   util::ParallelFor(0, num_blocks, 1, [&](size_t b0, size_t b1) {
     GatherRows(t_ptr_.data(), t_idx_.data(), t_val_.data(), dense.RowPtr(0),
                d, out->RowPtr(0), t_block_row_[b0], t_block_row_[b1]);

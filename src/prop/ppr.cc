@@ -14,10 +14,6 @@ namespace gale::prop {
 
 namespace {
 
-// Rows per compaction shard: column compaction is a cheap permutation, so
-// shards need a few hundred rows to amortize dispatch.
-constexpr size_t kCompactRowGrain = 256;
-
 // One power-iteration epilogue over all n rows of the batch state:
 // damp the fresh product by (1 - alpha), add the teleport mass at each
 // column's seed row, and accumulate each column's L1 diff against the
@@ -215,7 +211,9 @@ void PprEngine::ComputeBatch(const size_t* seeds, size_t count) {
       const uint32_t* surv = survivors_.data();
       const size_t num_surv = survivors_.size();
       if (num_surv > 0) {
-        util::ParallelFor(0, n, kCompactRowGrain, [&](size_t r0, size_t r1) {
+        // A row costs num_surv copies.
+        const size_t grain = util::GrainForWork(num_surv);
+        util::ParallelFor(0, n, grain, [&](size_t r0, size_t r1) {
           CompactColumnsRows(p, stride, surv, num_surv, r0, r1);
         });
       }

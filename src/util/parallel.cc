@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <memory>
@@ -62,6 +63,46 @@ size_t ShardBoundary(size_t begin, size_t range, size_t shards, size_t s) {
   return begin + (range / shards) * s + std::min(range % shards, s);
 }
 
+// One pooled dispatch's shared state. It lives on the dispatching thread's
+// stack: that thread waits for every shard before RunShards returns, so no
+// task can outlive it, and a pool task captures only {state, shard} — two
+// words, inside std::function's inline buffer — so a dispatch allocates
+// nothing of its own (the pool's deque still takes a node now and then).
+struct Dispatch {
+  Dispatch(const std::function<void(size_t, size_t, size_t)>* f, size_t b,
+           size_t r, size_t n)
+      : fn(f), begin(b), range(r), shards(n), remaining(n) {}
+
+  const std::function<void(size_t, size_t, size_t)>* const fn;
+  const size_t begin;
+  const size_t range;
+  const size_t shards;
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t remaining;                // guarded by mu
+  size_t error_shard = SIZE_MAX;   // guarded by mu
+  std::exception_ptr error;        // guarded by mu; lowest throwing shard
+};
+
+// Runs shard s of `d`, records its exception if it is the lowest-numbered
+// one so far, and counts the shard done. Nothing touches `d` after the
+// final decrement's unlock, so the dispatcher may then destroy it.
+void RunDispatchShard(Dispatch* d, size_t s) {
+  std::exception_ptr err;
+  try {
+    (*d->fn)(s, ShardBoundary(d->begin, d->range, d->shards, s),
+             ShardBoundary(d->begin, d->range, d->shards, s + 1));
+  } catch (...) {
+    err = std::current_exception();
+  }
+  std::lock_guard<std::mutex> lock(d->mu);
+  if (err && s < d->error_shard) {
+    d->error_shard = s;
+    d->error = std::move(err);
+  }
+  if (--d->remaining == 0) d->cv.notify_one();
+}
+
 // Runs fn(shard, b, e) for shards [0, shards) of [begin, end): shard 0 on
 // the calling thread, the rest on the pool. Rethrows the lowest-shard
 // exception.
@@ -77,40 +118,16 @@ void RunShards(size_t begin, size_t end, size_t shards,
     return;
   }
 
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t remaining;
-  };
-  auto latch = std::make_shared<Latch>();
-  latch->remaining = shards - 1;
-  std::vector<std::exception_ptr> errors(shards);
-
+  Dispatch d(&fn, begin, range, shards);
   ThreadPool* pool = GetPool(Parallelism());
+  Dispatch* dp = &d;
   for (size_t s = 1; s < shards; ++s) {
-    const size_t b = ShardBoundary(begin, range, shards, s);
-    const size_t e = ShardBoundary(begin, range, shards, s + 1);
-    pool->Enqueue([&fn, &errors, latch, s, b, e]() {
-      try {
-        fn(s, b, e);
-      } catch (...) {
-        errors[s] = std::current_exception();
-      }
-      std::lock_guard<std::mutex> lock(latch->mu);
-      if (--latch->remaining == 0) latch->cv.notify_one();
-    });
+    pool->Enqueue([dp, s] { RunDispatchShard(dp, s); });
   }
-  try {
-    fn(0, begin, ShardBoundary(begin, range, shards, 1));
-  } catch (...) {
-    errors[0] = std::current_exception();
-  }
-  std::unique_lock<std::mutex> lock(latch->mu);
-  latch->cv.wait(lock, [&] { return latch->remaining == 0; });
-  lock.unlock();
-  for (const std::exception_ptr& err : errors) {
-    if (err) std::rethrow_exception(err);
-  }
+  RunDispatchShard(dp, 0);
+  std::unique_lock<std::mutex> lock(d.mu);
+  d.cv.wait(lock, [&] { return d.remaining == 0; });
+  if (d.error) std::rethrow_exception(d.error);
 }
 
 }  // namespace
@@ -189,8 +206,9 @@ void ParallelFor(size_t begin, size_t end, size_t grain,
                  const std::function<void(size_t, size_t)>& fn) {
   if (end <= begin) return;
   if (grain == 0) grain = 1;
-  const size_t range = end - begin;
-  const size_t by_grain = (range + grain - 1) / grain;
+  // Every chunk holds at least `grain` items: floor division, so a range
+  // under two grains is one chunk (and no ceil overflow for huge grains).
+  const size_t by_grain = std::max<size_t>(1, (end - begin) / grain);
   const size_t shards =
       std::min<size_t>(static_cast<size_t>(Parallelism()), by_grain);
   RunShards(begin, end, shards,

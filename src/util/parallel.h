@@ -11,7 +11,8 @@
 //
 // Determinism contract (relied on by eval_determinism_test):
 //  * ParallelFor(begin, end, grain, fn) partitions [begin, end) into at
-//    most Parallelism() contiguous chunks of at least `grain` iterations.
+//    most Parallelism() contiguous chunks of at least `grain` iterations
+//    (one chunk when the range is shorter than two grains).
 //    It is for *map*-shaped kernels whose shards write disjoint outputs;
 //    such kernels are bitwise identical to serial for any thread count
 //    because each output element is produced by exactly the same
@@ -30,6 +31,11 @@
 // worker runs inline on that worker (same partition, sequential shards),
 // so kernels can be composed without deadlock or oversubscription.
 //
+// Dispatch cost: waking pool workers costs ~20 us per region at 4 threads
+// whatever the shards do, so a map-shaped call site sizes its grain by the
+// work each item carries (GrainForWork below), not by its item count; a
+// region too small to pay for a wake then runs as one inline shard.
+//
 // Configuration: the GALE_NUM_THREADS environment variable (read once, on
 // first use) or SetParallelism() override; the default is
 // std::thread::hardware_concurrency().
@@ -39,6 +45,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -109,14 +116,36 @@ class ThreadPool {
   bool shutdown_ = false;
 };
 
+// Minimum work per ParallelFor shard, in units of one double multiply-add
+// (or one copied double; ~0.19 ns each in the dense kernels). A pooled
+// dispatch waits ~20 us or more for its workers to wake, however little
+// its shards do, so a shard must carry a few wakes' worth of work for the
+// split to pay. Measured with bench_parallel_scaling's threshold records
+// on a 4-vCPU VM (DESIGN.md §6): two shards of 2^17 ran slower at
+// 4 threads than inline.
+inline constexpr size_t kMinShardWork = size_t{1} << 18;
+
+// Items per ParallelFor shard when each item costs `work_per_item` units:
+// the fewest items that carry kMinShardWork, and never fewer than
+// `min_items`. Zero work per item never splits (SIZE_MAX). Overflow-free
+// for every input.
+constexpr size_t GrainForWork(size_t work_per_item, size_t min_items = 1) {
+  if (work_per_item == 0) return SIZE_MAX;
+  const size_t by_work = kMinShardWork / work_per_item +
+                         (kMinShardWork % work_per_item != 0 ? 1 : 0);
+  return by_work > min_items ? by_work : min_items;
+}
+
 // Runs fn(chunk_begin, chunk_end) over a static partition of [begin, end)
 // into at most Parallelism() contiguous chunks of >= grain iterations.
-// Runs inline (one call, full range) when the range is small, the
-// parallelism is 1, or we are already inside a parallel region. Exceptions
-// thrown by `fn` are rethrown on the calling thread (the lowest-shard
-// exception wins when several shards throw).
+// Runs inline (one call, full range) when the range is shorter than two
+// grains, the parallelism is 1, or we are already inside a parallel
+// region. Exceptions thrown by `fn` are rethrown on the calling thread
+// (the lowest-shard exception wins when several shards throw).
 //
 // Shards must write disjoint outputs; see the determinism contract above.
+// Call sites in src/ size `grain` with GrainForWork or say why not
+// (gale_analyze rule parallel-grain).
 void ParallelFor(size_t begin, size_t end, size_t grain,
                  const std::function<void(size_t, size_t)>& fn);
 

@@ -164,7 +164,7 @@ TEST(AnalyzeScanner, CorruptCacheDegradesToColdScan) {
   // the cache (cold scan), not crash or reuse garbage.
   {
     std::ofstream out(options.cache_path, std::ios::trunc);
-    out << "gale-analyze-cache v1\n"
+    out << "gale-analyze-cache v2\n"
         << "F\tsrc/util/a.cc\tnot-a-number\t0\t0\t-\t0\n";
   }
   const ScanResult result = ScanTree(tree.Root(), options);

@@ -6,6 +6,7 @@
 // selector by comparing runs at GALE_NUM_THREADS-equivalent settings of
 // 1, 4, and 8 for exact equality (operator==, not AllClose).
 
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -60,6 +61,28 @@ void ExpectBitwiseStable(Fn compute) {
   }
 }
 
+// Runs `compute` at widths 1 and 4 and checks the two results are
+// memcmp-equal (so -0.0 vs 0.0 or NaN payload drift would fail too).
+template <typename Fn>
+void ExpectMemcmpEqualAt1And4(Fn compute) {
+  std::vector<double> serial;
+  std::vector<double> pooled;
+  {
+    util::ScopedParallelism p(1);
+    const auto r = compute();
+    serial.assign(r.begin(), r.end());
+  }
+  {
+    util::ScopedParallelism p(4);
+    const auto r = compute();
+    pooled.assign(r.begin(), r.end());
+  }
+  ASSERT_EQ(serial.size(), pooled.size());
+  EXPECT_EQ(std::memcmp(serial.data(), pooled.data(),
+                        serial.size() * sizeof(double)),
+            0);
+}
+
 TEST(ParallelEquivalenceTest, MatMul) {
   const la::Matrix a = RandomMatrix(123, 77, 1);
   const la::Matrix b = RandomMatrix(77, 91, 2);
@@ -89,6 +112,97 @@ TEST(ParallelEquivalenceTest, SparseMultiply) {
   const la::Matrix x = RandomMatrix(300, 32, 8);
   ExpectBitwiseStable([&] { return s.Multiply(x).data(); });
   ExpectBitwiseStable([&] { return s.TransposedMultiply(x).data(); });
+}
+
+// A serve-shaped discriminator forward, F -> 64 -> 32 -> 3 with leaky
+// ReLU between layers, at batch sizes on both sides of the work-sized
+// dispatch threshold: 9, 32 and 64 rows run every layer inline, 256 rows
+// split the first layer. The backward products of the first layer ride
+// along.
+TEST(ParallelEquivalenceTest, ServeShapedForwardAcrossDispatchThreshold) {
+  constexpr size_t kFeatures = 64;
+  const la::Matrix w1 = RandomMatrix(kFeatures, 64, 21);
+  const la::Matrix w2 = RandomMatrix(64, 32, 22);
+  const la::Matrix w3 = RandomMatrix(32, 3, 23);
+  const size_t grain = util::GrainForWork(kFeatures * 64);
+  for (size_t rows : {9, 32, 64, 256}) {
+    SCOPED_TRACE(rows);
+    EXPECT_EQ(rows >= 2 * grain, rows == 256) << "threshold moved";
+    const la::Matrix x = RandomMatrix(rows, kFeatures, 20 + rows);
+    ExpectMemcmpEqualAt1And4([&] {
+      la::Matrix h1;
+      la::Matrix h2;
+      la::Matrix logits;
+      x.MatMulInto(w1, &h1);
+      for (double& v : h1.data()) v = v > 0.0 ? v : 0.2 * v;
+      h1.MatMulInto(w2, &h2);
+      for (double& v : h2.data()) v = v > 0.0 ? v : 0.2 * v;
+      h2.MatMulInto(w3, &logits);
+      la::Matrix grad_w1;
+      la::Matrix grad_x;
+      la::Matrix xt;
+      x.TransposedMatMulInto(h1, &grad_w1);
+      h1.MatMulTransposedInto(w1, &grad_x);
+      x.TransposeInto(&xt);
+      std::vector<double> flat(logits.data().begin(), logits.data().end());
+      flat.insert(flat.end(), grad_w1.data().begin(), grad_w1.data().end());
+      flat.insert(flat.end(), grad_x.data().begin(), grad_x.data().end());
+      flat.insert(flat.end(), xt.data().begin(), xt.data().end());
+      return flat;
+    });
+  }
+}
+
+// Checks all four block-parallel SpMM forms of `s` at widths 1, 3 and 64
+// are memcmp-equal at widths 1 and 4.
+void ExpectSparseFormsStable(const la::SparseMatrix& s) {
+  const size_t n = s.rows();
+  for (size_t width : {1, 3, 64}) {
+    SCOPED_TRACE(width);
+    const la::Matrix x = RandomMatrix(n, width, 30 + width);
+    const la::Matrix bias = RandomMatrix(1, width, 40 + width);
+    ExpectMemcmpEqualAt1And4([&] {
+      la::Matrix out;
+      s.MultiplyInto(x, &out);
+      return out.data();
+    });
+    ExpectMemcmpEqualAt1And4([&] {
+      la::Matrix out;
+      s.MultiplyFusedInto(x, bias, la::SpmmEpilogue::kBiasLeakyRelu, 0.2,
+                          &out);
+      return out.data();
+    });
+    ExpectMemcmpEqualAt1And4([&] {
+      la::Matrix out;
+      s.TransposedMultiplyInto(x, &out);
+      return out.data();
+    });
+    // Strided: live columns [0, width) of a wider row-major buffer; the
+    // dead tail columns of `out` must stay untouched (sentinel 7.0).
+    const size_t stride = width + 5;
+    std::vector<double> in(n * stride, 0.0);
+    for (size_t r = 0; r < n; ++r) {
+      for (size_t j = 0; j < width; ++j) in[r * stride + j] = x.At(r, j);
+    }
+    ExpectMemcmpEqualAt1And4([&] {
+      std::vector<double> out(n * stride, 7.0);
+      s.MultiplyStridedInto(in.data(), width, stride, out.data());
+      return out;
+    });
+  }
+}
+
+// All four block-parallel SpMM forms at widths 1, 3 and 64, on a 60-node
+// graph (one row block: inline) and a 4000-node graph (several row
+// blocks, so the product splits at any width).
+TEST(ParallelEquivalenceTest, SparseFormsAcrossDispatchThreshold) {
+  for (size_t nodes : {60, 4000}) {
+    SCOPED_TRACE(nodes);
+    const la::SparseMatrix s =
+        la::SparseMatrix::NormalizedAdjacency(nodes, RingWithChords(nodes));
+    EXPECT_EQ(s.num_row_blocks() >= 4, nodes == 4000);
+    ExpectSparseFormsStable(s);
+  }
 }
 
 TEST(ParallelEquivalenceTest, KMeans) {

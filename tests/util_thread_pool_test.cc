@@ -3,13 +3,44 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <mutex>
+#include <new>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+// Counts operator new calls made on a thread that has opted in, so a test
+// can assert that a code path allocates nothing. Replacing the global
+// operators is the only hook that sees std::function and shared_ptr
+// allocations; they forward to malloc/free, which every sanitizer build
+// intercepts as usual.
+namespace {
+thread_local bool t_count_allocations = false;
+thread_local size_t t_allocations = 0;
+}  // namespace
+
+// gale-lint: allow(naked-new): replacement global allocator for counting
+void* operator new(size_t size) {
+  if (t_count_allocations) ++t_allocations;
+  // gale-lint: allow(naked-new): the replacement allocator is malloc
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// noinline: inlined into a caller, GCC pairs the free with that caller's
+// new expression and warns (-Wmismatched-new-delete).
+// gale-lint: allow(naked-new): replacement global deallocator
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);  // gale-lint: allow(naked-new): pairs the malloc above
+}
+// gale-lint: allow(naked-new): replacement global deallocator
+__attribute__((noinline)) void operator delete(void* p, size_t) noexcept {
+  std::free(p);  // gale-lint: allow(naked-new): pairs the malloc above
+}
 
 namespace gale::util {
 namespace {
@@ -214,6 +245,109 @@ TEST(ParallelForShardsTest, FixedOrderReductionMatchesSerial) {
   EXPECT_EQ(serial, chunked_sum(2));
   EXPECT_EQ(serial, chunked_sum(4));
   EXPECT_EQ(serial, chunked_sum(8));
+}
+
+TEST(GrainForWorkTest, Arithmetic) {
+  // Zero work per item never pays for a split.
+  EXPECT_EQ(GrainForWork(0), SIZE_MAX);
+  EXPECT_EQ(GrainForWork(0, 7), SIZE_MAX);
+  // Exact multiples and the rounding-up remainder.
+  EXPECT_EQ(GrainForWork(1), kMinShardWork);
+  EXPECT_EQ(GrainForWork(kMinShardWork / 4), 4u);
+  EXPECT_EQ(GrainForWork(kMinShardWork / 4 + 1), 4u);
+  EXPECT_EQ(GrainForWork(kMinShardWork / 4 - 1), 5u);
+  EXPECT_EQ(GrainForWork(kMinShardWork), 1u);
+  EXPECT_EQ(GrainForWork(kMinShardWork + 1), 1u);
+  // min_items is a floor, not an addend.
+  EXPECT_EQ(GrainForWork(kMinShardWork, 32), 32u);
+  EXPECT_EQ(GrainForWork(kMinShardWork / 64, 32), 64u);
+  // No overflow near SIZE_MAX in either argument.
+  EXPECT_EQ(GrainForWork(SIZE_MAX), 1u);
+  EXPECT_EQ(GrainForWork(SIZE_MAX - 1, SIZE_MAX), SIZE_MAX);
+  EXPECT_EQ(GrainForWork(1, SIZE_MAX), SIZE_MAX);
+  static_assert(GrainForWork(2) == kMinShardWork / 2);
+}
+
+TEST(GrainForWorkTest, HugeGrainRunsOneInlineShard) {
+  ScopedParallelism p(4);
+  int calls = 0;
+  ParallelFor(0, 1000, SIZE_MAX, [&](size_t b, size_t e) {
+    ++calls;
+    EXPECT_EQ(b, 0u);
+    EXPECT_EQ(e, 1000u);
+  });
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(GrainForWorkTest, BelowThresholdRunsInlineInsideDispatch) {
+  ScopedParallelism p(4);
+  // 64 items of kMinShardWork / 64 units: one shard's worth in total.
+  const size_t grain = GrainForWork(kMinShardWork / 64);
+  int calls = 0;
+  bool on_caller = false;
+  bool in_dispatch = false;
+  const std::thread::id caller = std::this_thread::get_id();
+  ParallelFor(0, 64, grain, [&](size_t b, size_t e) {
+    ++calls;
+    on_caller = std::this_thread::get_id() == caller && !InParallelRegion();
+    in_dispatch = InParallelDispatch();
+    EXPECT_EQ(b, 0u);
+    EXPECT_EQ(e, 64u);
+  });
+  EXPECT_EQ(calls, 1);
+  EXPECT_TRUE(on_caller);
+  // The inline region still counts as a dispatch, so spans inside it drop
+  // exactly as they do in a pooled region.
+  EXPECT_TRUE(in_dispatch);
+  EXPECT_FALSE(InParallelDispatch());
+}
+
+TEST(GrainForWorkTest, AboveThresholdStillSplits) {
+  ScopedParallelism p(4);
+  // 64 items of kMinShardWork / 16 units: four shards' worth.
+  const size_t grain = GrainForWork(kMinShardWork / 16);
+  ASSERT_EQ(grain, 16u);
+  std::mutex mu;
+  std::vector<std::pair<size_t, size_t>> chunks;
+  ParallelFor(0, 64, grain, [&](size_t b, size_t e) {
+    std::lock_guard<std::mutex> lock(mu);
+    chunks.emplace_back(b, e);
+  });
+  std::sort(chunks.begin(), chunks.end());
+  const std::vector<std::pair<size_t, size_t>> expected = {
+      {0, 16}, {16, 32}, {32, 48}, {48, 64}};
+  EXPECT_EQ(chunks, expected);
+  // Two and a half shards' worth splits in two: no chunk under a grain.
+  chunks.clear();
+  ParallelFor(0, 40, grain, [&](size_t b, size_t e) {
+    std::lock_guard<std::mutex> lock(mu);
+    chunks.emplace_back(b, e);
+  });
+  std::sort(chunks.begin(), chunks.end());
+  const std::vector<std::pair<size_t, size_t>> expected_two = {{0, 20},
+                                                               {20, 40}};
+  EXPECT_EQ(chunks, expected_two);
+}
+
+TEST(ParallelForTest, PooledDispatchAllocatesNothingPerDispatch) {
+  ScopedParallelism p(4);
+  std::atomic<size_t> total{0};
+  const std::function<void(size_t, size_t)> fn = [&](size_t b, size_t e) {
+    total.fetch_add(e - b);
+  };
+  for (int i = 0; i < 4; ++i) ParallelFor(0, 4096, 1, fn);  // builds the pool
+  constexpr size_t kDispatches = 200;
+  t_allocations = 0;
+  t_count_allocations = true;
+  for (size_t i = 0; i < kDispatches; ++i) ParallelFor(0, 4096, 1, fn);
+  t_count_allocations = false;
+  // The pool's std::deque takes a node every few dispatches as its three
+  // tasks per dispatch wrap through it. Anything a dispatch allocated for
+  // itself (an exception vector, a shared latch, a task closure too big
+  // for std::function's inline buffer) would cost at least one allocation
+  // every time.
+  EXPECT_LT(t_allocations, kDispatches);
+  EXPECT_EQ(total.load(), (4 + kDispatches) * 4096u);
 }
 
 }  // namespace

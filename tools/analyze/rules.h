@@ -14,6 +14,9 @@
 //   io               std::cout/printf-family output in src/
 //   naked-new        raw new/delete/malloc/free anywhere in the tree
 //   shard-noinline   loops inside ParallelFor* closures in src/
+//   parallel-grain   ParallelFor grain in src/ that is a literal or a
+//                    constant not derived from util::GrainForWork — a
+//                    shard must carry enough work to pay for a pool wake
 //   raw-chrono-timing std::chrono clock reads in src/ outside src/obs/
 //   simd-intrinsics  vendor SIMD intrinsics outside src/la/simd.h
 //   hot-path-alloc   allocating kernel calls in a TU on the *Into path

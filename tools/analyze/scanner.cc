@@ -16,7 +16,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr const char kCacheHeader[] = "gale-analyze-cache v1";
+// Bumped whenever a rule is added or its findings can change, so a cache
+// written by an older analyzer is discarded instead of replaying per-file
+// findings that miss the new rule (v2: parallel-grain).
+constexpr const char kCacheHeader[] = "gale-analyze-cache v2";
 
 uint64_t Fnv1a(const std::string& s) {
   uint64_t h = 14695981039346656037ULL;

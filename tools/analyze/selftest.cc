@@ -149,6 +149,87 @@ void Scale(double* data, size_t n) {
 )__"}},
        "shard-noinline", 0},
 
+      // ----------------------------------------------------- parallel-grain
+      {"parallel-grain-bad-literal",
+       {{"src/fake/a.cc", R"__(#include "util/parallel.h"
+void Scale(double* data, size_t n) {
+  gale::util::ParallelFor(0, n, 64, [&](size_t b, size_t e) {
+    ScaleShard(data, b, e);
+  });
+}
+)__"}},
+       "parallel-grain", 1},
+      {"parallel-grain-bad-named-constant",
+       {{"src/fake/a.cc", R"__(#include "util/parallel.h"
+constexpr size_t kRowGrain = 8;
+void Scale(double* data, size_t n) {
+  gale::util::ParallelFor(0, n, kRowGrain, [&](size_t b, size_t e) {
+    ScaleShard(data, b, e);
+  });
+}
+)__"}},
+       "parallel-grain", 1},
+      {"parallel-grain-bad-shadowed-derivation",
+       {{"src/fake/a.cc", R"__(#include "util/parallel.h"
+void A(double* data, size_t n) {
+  const size_t grain = gale::util::GrainForWork(8);
+  gale::util::ParallelFor(0, n, grain, [&](size_t b, size_t e) {
+    ScaleShard(data, b, e);
+  });
+}
+void B(double* data, size_t n) {
+  const size_t grain = 16;  // the nearest definition is what counts
+  gale::util::ParallelFor(0, n, grain, [&](size_t b, size_t e) {
+    ScaleShard(data, b, e);
+  });
+}
+)__"}},
+       "parallel-grain", 1},
+      {"parallel-grain-good-helper-inline",
+       {{"src/fake/a.cc", R"__(#include "util/parallel.h"
+void Scale(double* data, size_t n, size_t cols) {
+  gale::util::ParallelFor(0, n, gale::util::GrainForWork(cols),
+                          [&](size_t b, size_t e) { ScaleShard(data, b, e); });
+}
+)__"}},
+       "parallel-grain", 0},
+      {"parallel-grain-good-derived",
+       {{"src/fake/a.cc", R"__(#include "util/parallel.h"
+void Scale(double* data, size_t n, size_t cols) {
+  const size_t grain = gale::util::GrainForWork(cols, 8);
+  gale::util::ParallelFor(0, n, grain, [&](size_t b, size_t e) {
+    ScaleShard(data, b, e);
+  });
+}
+)__"}},
+       "parallel-grain", 0},
+      {"parallel-grain-good-reduction-shards",
+       {{"src/fake/a.cc", R"__(#include "util/parallel.h"
+void Sum(const double* data, size_t n, double* partial) {
+  gale::util::ParallelForShards(0, n, 512, [&](size_t s, size_t b, size_t e) {
+    SumShard(data, b, e, &partial[s]);
+  });
+}
+)__"}},
+       "parallel-grain", 0},
+      {"parallel-grain-good-harness",
+       {{"bench/fake.cc", R"__(#include "util/parallel.h"
+void Probe() {
+  gale::util::ParallelFor(0, 4096, 1, [](size_t, size_t) {});
+}
+)__"}},
+       "parallel-grain", 0},
+      {"parallel-grain-suppressed",
+       {{"src/fake/a.cc", R"__(#include "util/parallel.h"
+void Scale(double* data, size_t n) {
+  // gale-lint: allow(parallel-grain): shards block on I/O, not compute
+  gale::util::ParallelFor(0, n, 1, [&](size_t b, size_t e) {
+    ScaleShard(data, b, e);
+  });
+}
+)__"}},
+       "parallel-grain", 0},
+
       // ----------------------------------------------------- hot-path-alloc
       {"hot-path-alloc-bad",
        {{"src/fake/a.cc", R"__(#include "la/matrix.h"
